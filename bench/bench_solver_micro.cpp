@@ -39,11 +39,14 @@ media::BitrateLadder LadderOfSize(int rungs) {
   return media::BitrateLadder(std::move(bitrates));
 }
 
+// With pruned:0, `sequences` is the size of the monotone search space.
 void BM_MonotonicSolver(benchmark::State& state) {
   const media::BitrateLadder ladder =
       LadderOfSize(static_cast<int>(state.range(0)));
   const core::CostModel model = MakeModel(ladder);
-  const core::MonotonicSolver solver(model);
+  core::SolverConfig config;
+  config.enable_pruning = state.range(2) != 0;
+  const core::MonotonicSolver solver(model, config);
   const std::vector<double> predictions(
       static_cast<std::size_t>(state.range(1)), 10.0);
   long long sequences = 0;
@@ -55,8 +58,8 @@ void BM_MonotonicSolver(benchmark::State& state) {
   state.counters["sequences"] = static_cast<double>(sequences);
 }
 BENCHMARK(BM_MonotonicSolver)
-    ->ArgsProduct({{6, 10}, {3, 5, 8}})
-    ->ArgNames({"rungs", "K"});
+    ->ArgsProduct({{6, 10}, {3, 5, 8}, {0, 1}})
+    ->ArgNames({"rungs", "K", "pruned"});
 
 void BM_BruteForceSolver(benchmark::State& state) {
   const media::BitrateLadder ladder =

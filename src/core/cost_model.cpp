@@ -52,26 +52,6 @@ CostModel::CostModel(const media::BitrateLadder& ladder, CostModelConfig config)
   }
 }
 
-double CostModel::BufferCost(double buffer_s) const noexcept {
-  const double target = config_.target_buffer_s;
-  // Relative deviation keeps beta meaningful across buffer scales.
-  const double deviation = (buffer_s - target) / target;
-  double cost = deviation * deviation;
-  if (buffer_s > target) {
-    cost *= config_.weights.epsilon;
-  } else {
-    const double safe = config_.weights.safe_fraction * target;
-    if (buffer_s < safe && safe > 0.0 && config_.weights.beta > 0.0) {
-      // Expressed relative to beta so the total buffer cost stays a single
-      // beta-weighted term in the objective.
-      const double shortfall = (safe - buffer_s) / safe;
-      cost += config_.weights.barrier / config_.weights.beta * shortfall *
-              shortfall;
-    }
-  }
-  return cost;
-}
-
 double CostModel::SwitchCost(double bitrate_mbps,
                              double prev_bitrate_mbps) const noexcept {
   const double delta =
@@ -79,36 +59,10 @@ double CostModel::SwitchCost(double bitrate_mbps,
   return delta * delta;
 }
 
-double CostModel::VideoSecondsDownloaded(double predicted_mbps,
-                                         double bitrate_mbps) const noexcept {
-  return predicted_mbps * config_.dt_s / bitrate_mbps;
-}
-
 double CostModel::DistortionTermCost(double predicted_mbps,
                                      double bitrate_mbps) const noexcept {
   return config_.weights.alpha * distortion_.At(bitrate_mbps) *
          VideoSecondsDownloaded(predicted_mbps, bitrate_mbps);
-}
-
-double CostModel::NextBuffer(double buffer_s, double predicted_mbps,
-                             double bitrate_mbps) const noexcept {
-  return buffer_s + VideoSecondsDownloaded(predicted_mbps, bitrate_mbps) -
-         config_.dt_s;
-}
-
-double CostModel::RungIntervalCost(double predicted_mbps, media::Rung rung,
-                                   media::Rung prev_rung,
-                                   double buffer_after_s) const noexcept {
-  // Mirrors IntervalCost term by term so rung-based evaluation is
-  // bit-identical to the bitrate-based path.
-  double cost = config_.weights.alpha * RungDistortion(rung) *
-                VideoSecondsDownloaded(predicted_mbps, RungBitrate(rung));
-  cost += config_.weights.beta * BufferCost(buffer_after_s);
-  if (prev_rung >= 0) {
-    cost += config_.weights.gamma * RungSwitchCost(rung, prev_rung);
-    if (rung != prev_rung) cost += config_.weights.kappa;
-  }
-  return cost;
 }
 
 double CostModel::IntervalCost(double predicted_mbps, double bitrate_mbps,

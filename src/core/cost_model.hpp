@@ -76,7 +76,25 @@ class CostModel {
 
   // The asymmetric buffer-stability cost b(x): quadratic below the target,
   // epsilon-scaled quadratic above, both relative to the target level.
-  [[nodiscard]] double BufferCost(double buffer_s) const noexcept;
+  [[nodiscard]] double BufferCost(double buffer_s) const noexcept {
+    const double target = config_.target_buffer_s;
+    // Relative deviation keeps beta meaningful across buffer scales.
+    const double deviation = (buffer_s - target) / target;
+    double cost = deviation * deviation;
+    if (buffer_s > target) {
+      cost *= config_.weights.epsilon;
+    } else {
+      const double safe = config_.weights.safe_fraction * target;
+      if (buffer_s < safe && safe > 0.0 && config_.weights.beta > 0.0) {
+        // Expressed relative to beta so the total buffer cost stays a single
+        // beta-weighted term in the objective.
+        const double shortfall = (safe - buffer_s) / safe;
+        cost += config_.weights.barrier / config_.weights.beta * shortfall *
+                shortfall;
+      }
+    }
+    return cost;
+  }
 
   // Smooth switching cost c(r, r_prev) = (v(r) - v(r_prev))^2 (without
   // the kappa count term, which IntervalCost adds).
@@ -91,8 +109,10 @@ class CostModel {
                                     bool include_switch) const noexcept;
 
   // Video seconds downloaded in one interval: w * dt / r.
-  [[nodiscard]] double VideoSecondsDownloaded(double predicted_mbps,
-                                              double bitrate_mbps) const noexcept;
+  [[nodiscard]] double VideoSecondsDownloaded(
+      double predicted_mbps, double bitrate_mbps) const noexcept {
+    return predicted_mbps * config_.dt_s / bitrate_mbps;
+  }
 
   // The weighted distortion term alone: alpha * v(r) * (w * dt / r). Used
   // by the solver's terminal tail cost.
@@ -101,7 +121,10 @@ class CostModel {
 
   // Buffer level after one interval (unclamped): x + w*dt/r - dt.
   [[nodiscard]] double NextBuffer(double buffer_s, double predicted_mbps,
-                                  double bitrate_mbps) const noexcept;
+                                  double bitrate_mbps) const noexcept {
+    return buffer_s + VideoSecondsDownloaded(predicted_mbps, bitrate_mbps) -
+           config_.dt_s;
+  }
 
   // ---- Per-rung tables (precomputed at construction) -------------------
   //
@@ -135,11 +158,21 @@ class CostModel {
            VideoSecondsDownloaded(predicted_mbps, RungBitrate(rung));
   }
   // Full one-interval cost by rung. `prev_rung` < 0 drops the switching
-  // terms (first decision of a session). Identical arithmetic to
-  // IntervalCost on the corresponding bitrates.
+  // terms (first decision of a session). Mirrors IntervalCost term by term
+  // on the corresponding bitrates, so it is bit-identical to it. Defined
+  // here so the solvers' per-node step arithmetic inlines.
   [[nodiscard]] double RungIntervalCost(double predicted_mbps,
                                         media::Rung rung, media::Rung prev_rung,
-                                        double buffer_after_s) const noexcept;
+                                        double buffer_after_s) const noexcept {
+    double cost = config_.weights.alpha * RungDistortion(rung) *
+                  VideoSecondsDownloaded(predicted_mbps, RungBitrate(rung));
+    cost += config_.weights.beta * BufferCost(buffer_after_s);
+    if (prev_rung >= 0) {
+      cost += config_.weights.gamma * RungSwitchCost(rung, prev_rung);
+      if (rung != prev_rung) cost += config_.weights.kappa;
+    }
+    return cost;
+  }
 
   // Admissible per-interval lower bound used by the solvers' branch-and-
   // bound pruning: for every rung r and throughput w,
@@ -147,7 +180,8 @@ class CostModel {
   // up to floating-point rounding (the solvers prune with a tolerance).
   // The buffer and switching terms are bounded below by zero (the buffer
   // cost vanishes at the target and a plan may hold its rung), so this is
-  // the whole per-interval bound.
+  // the whole per-interval bound. Under the default log distortion
+  // v(top rung) = 0, so the bound is 0.
   [[nodiscard]] double MinDistortionTermPerMbps() const noexcept {
     return min_distortion_term_per_mbps_;
   }

@@ -152,64 +152,165 @@ void ValidatePredictions(std::span<const double> predicted_mbps) {
   }
 }
 
+// Which monotone space a partial plan lies in. A plan that has held the
+// anchor so far lies in both; once it moves it is up-only or down-only.
+enum class Space { kHold, kUp, kDown };
+
+// The first-found minimum over one direction's monotone space.
+struct Incumbent {
+  double objective = 0.0;
+  media::Rung plan[kMaxSolverHorizon];
+  bool found = false;
+};
+
+// One MonotonicSolver::Solve: a depth-first walk over the up and down spaces
+// together. A node that still holds the anchor visits its hold child, then
+// its up children (ascending), then its down children (descending), so the
+// shared hold prefix is walked once while each direction still meets its
+// own plans in the order a separate up-only or down-only search would. Each
+// leaf is offered to the incumbent of every space that contains it; the
+// all-hold plan, the walk's first leaf, to both.
+class MonotoneWalk {
+ public:
+  MonotoneWalk(const CostModel& model, const SolverConfig& config,
+               std::span<const double> predicted_mbps, const double* lb_suffix,
+               double bound)
+      : model_(model),
+        config_(config),
+        predicted_(predicted_mbps),
+        horizon_(static_cast<int>(predicted_mbps.size())),
+        lb_suffix_(lb_suffix),
+        bound_(bound),
+        cutoff_(bound + PruneMargin(bound)) {}
+
+  // Enters the node for interval `depth`: `prev` is the rung of the last
+  // planned interval (the anchor at the root) and `buffer_s` the buffer
+  // after it.
+  void Visit(int depth, double buffer_s, media::Rung prev, bool charge_switch,
+             double accumulated, Space space) {
+    ++expanded;
+    if (depth == horizon_) {
+      Leaf(accumulated + TailCost(model_, config_.tail_intervals,
+                                  predicted_.back(), prev, buffer_s),
+           space);
+      return;
+    }
+    // Branch-and-bound: even a zero-switch, target-buffer completion costs
+    // at least lb_suffix[depth]; cut the subtree when that cannot beat the
+    // incumbent (within the float-safety margin that keeps results
+    // plan-identical to the exhaustive search).
+    if (lb_suffix_ != nullptr && accumulated + lb_suffix_[depth] >= cutoff_) {
+      ++pruned;
+      return;
+    }
+    switch (space) {
+      case Space::kHold:
+        Child(depth, buffer_s, prev, charge_switch, accumulated, prev,
+              Space::kHold);
+        Siblings<+1>(depth, buffer_s, prev, charge_switch, accumulated,
+                     prev + 1);
+        Siblings<-1>(depth, buffer_s, prev, charge_switch, accumulated,
+                     prev - 1);
+        return;
+      case Space::kUp:
+        Siblings<+1>(depth, buffer_s, prev, charge_switch, accumulated, prev);
+        return;
+      case Space::kDown:
+        Siblings<-1>(depth, buffer_s, prev, charge_switch, accumulated, prev);
+        return;
+    }
+  }
+
+  Incumbent up;
+  Incumbent down;
+  long long sequences = 0;
+  long long expanded = 0;
+  long long pruned = 0;
+  // Whether the all-hold plan was feasible and so reached as the first leaf.
+  bool hold_leaf_reached = false;
+
+ private:
+  // Children `first`, `first + kDirection`, ... up to the ladder's end, all
+  // in that direction's space. Sibling cutoff: before paying for a child's
+  // step, compare the part of its cost that is known without the buffer
+  // term (the switch terms, plus the distortion term when moving down) plus
+  // the remaining bound with the incumbent. Each part is non-decreasing as
+  // r moves away from `prev` in the loop's direction, so once one child
+  // cannot win, no later sibling can either, and the run is cut.
+  template <int kDirection>
+  void Siblings(int depth, double buffer_s, media::Rung prev,
+                bool charge_switch, double accumulated, media::Rung first) {
+    constexpr Space space = kDirection > 0 ? Space::kUp : Space::kDown;
+    const media::Rung end = kDirection > 0 ? model_.Ladder().HighestRung()
+                                           : model_.Ladder().LowestRung();
+    const CostWeights& weights = model_.Config().weights;
+    const double w = predicted_[static_cast<std::size_t>(depth)];
+    for (media::Rung r = first; kDirection > 0 ? r <= end : r >= end;
+         r += kDirection) {
+      if (lb_suffix_ != nullptr) {
+        double floor = lb_suffix_[depth + 1];
+        if (charge_switch) {
+          floor += weights.gamma * model_.RungSwitchCost(r, prev);
+          if (r != prev) floor += weights.kappa;
+        }
+        if (kDirection < 0) floor += model_.RungDistortionTermCost(w, r);
+        if (accumulated + floor >= cutoff_) {
+          ++pruned;
+          return;
+        }
+      }
+      Child(depth, buffer_s, prev, charge_switch, accumulated, r, space);
+    }
+  }
+
+  void Child(int depth, double buffer_s, media::Rung prev, bool charge_switch,
+             double accumulated, media::Rung r, Space space) {
+    const StepOutcome step =
+        EvaluateStep(model_, predicted_[static_cast<std::size_t>(depth)], r,
+                     charge_switch ? prev : -1, buffer_s, charge_switch,
+                     config_.hard_buffer_constraints);
+    if (!step.feasible) return;
+    stack_[depth] = r;
+    Visit(depth + 1, step.next_buffer, r, /*charge_switch=*/true,
+          accumulated + step.cost, space);
+  }
+
+  void Leaf(double total, Space space) {
+    ++sequences;
+    if (space != Space::kDown) Offer(up, total);
+    if (space != Space::kUp) Offer(down, total);
+    if (space == Space::kHold) hold_leaf_reached = true;
+    if (total < bound_) {
+      bound_ = total;
+      cutoff_ = total + PruneMargin(total);
+    }
+  }
+
+  void Offer(Incumbent& best, double total) {
+    if (best.found && !(total < best.objective)) return;
+    best.found = true;
+    best.objective = total;
+    std::copy_n(stack_, horizon_, best.plan);
+  }
+
+  const CostModel& model_;
+  const SolverConfig& config_;
+  std::span<const double> predicted_;
+  int horizon_;
+  // Remaining-cost lower bounds; null when pruning is off.
+  const double* lb_suffix_;
+  // Incumbent objective shared by both spaces, and the cost at or above
+  // which a subtree cannot beat it.
+  double bound_;
+  double cutoff_;
+  // The partial plan of the node being visited.
+  media::Rung stack_[kMaxSolverHorizon];
+};
+
 }  // namespace
 
 MonotonicSolver::MonotonicSolver(const CostModel& model, SolverConfig config)
     : model_(&model), config_(config) {}
-
-void MonotonicSolver::SearchMonotone(std::span<const double> predicted_mbps,
-                                     int depth, double buffer_s,
-                                     media::Rung prev, bool charge_switch,
-                                     int direction, double accumulated,
-                                     media::Rung* stack, Branch& best,
-                                     const double* lb_suffix,
-                                     double& bound) const {
-  const int horizon = static_cast<int>(predicted_mbps.size());
-  ++best.expanded;
-  if (depth == horizon) {
-    const double total =
-        accumulated + TailCost(*model_, config_.tail_intervals,
-                               predicted_mbps.back(), stack[horizon - 1],
-                               buffer_s);
-    ++best.sequences;
-    if (!best.found || total < best.objective) {
-      best.found = true;
-      best.objective = total;
-      best.first = stack[0];
-      std::copy_n(stack, horizon, best.plan);
-    }
-    if (total < bound) bound = total;
-    return;
-  }
-
-  // Branch-and-bound: even a zero-switch, target-buffer completion costs at
-  // least lb_suffix[depth]; cut the subtree when that cannot beat the
-  // incumbent (within the float-safety margin that keeps results
-  // plan-identical to the exhaustive search).
-  if (lb_suffix != nullptr &&
-      accumulated + lb_suffix[depth] >= bound + PruneMargin(bound)) {
-    ++best.pruned;
-    return;
-  }
-
-  const media::Rung begin = prev;
-  const media::Rung end = direction > 0 ? model_->Ladder().HighestRung()
-                                        : model_->Ladder().LowestRung();
-  const double w = predicted_mbps[static_cast<std::size_t>(depth)];
-
-  for (media::Rung r = begin;; r += direction) {
-    const StepOutcome step =
-        EvaluateStep(*model_, w, r, charge_switch ? prev : -1, buffer_s,
-                     charge_switch, config_.hard_buffer_constraints);
-    if (step.feasible) {
-      stack[depth] = r;
-      SearchMonotone(predicted_mbps, depth + 1, step.next_buffer, r,
-                     /*charge_switch=*/true, direction,
-                     accumulated + step.cost, stack, best, lb_suffix, bound);
-    }
-    if (r == end) break;
-  }
-}
 
 PlanResult MonotonicSolver::Solve(std::span<const double> predicted_mbps,
                                   double buffer_s,
@@ -226,9 +327,8 @@ PlanResult MonotonicSolver::Solve(std::span<const double> predicted_mbps,
   const media::Rung anchor =
       has_prev ? prev_rung : AnchorRung(*model_, predicted_mbps.front());
 
-  // Solve-scoped arena: partial-sequence stack and bound table live on the
-  // stack; the recursion allocates nothing.
-  media::Rung stack[kMaxSolverHorizon];
+  // Solve-scoped arena: the bound table lives on the stack and the walk
+  // allocates nothing.
   double lb_storage[kMaxSolverHorizon + 1];
   const double* lb_suffix = nullptr;
   if (config_.enable_pruning) {
@@ -236,41 +336,49 @@ PlanResult MonotonicSolver::Solve(std::span<const double> predicted_mbps,
     lb_suffix = lb_storage;
   }
 
-  // Incumbent objective shared by both directions (and seeded by the warm
-  // plan when one is usable). Used purely for pruning: the bound can only
-  // ever hold the cost of a plan inside the search space, so the optimum
-  // always survives and the chosen result matches the cold exhaustive
-  // search exactly.
+  // Incumbent objective shared by both directions, seeded by the warm plan
+  // when one is usable. Used purely for pruning: the bound can only ever
+  // hold the cost of a plan inside the search space, so the optimum always
+  // survives and the chosen result matches the cold exhaustive search
+  // exactly.
   double bound = kInfinity;
+  bool warm_holds_anchor = false;
   if (config_.enable_pruning && warm_plan.size() == predicted_mbps.size() &&
       PlanRungsValid(*model_, warm_plan) &&
       PlanIsMonotone(warm_plan, anchor)) {
-    bound = ExactPlanTotal(*model_, config_, predicted_mbps, warm_plan,
-                           buffer_s, anchor, has_prev);
+    // A plan that holds the anchor throughout is the walk's first leaf, and
+    // no sibling is visited before it, so its total would cut nothing:
+    // skip evaluating it. The walk reaches that leaf exactly when the plan
+    // is feasible, that is, when it would have seeded the bound.
+    warm_holds_anchor =
+        std::all_of(warm_plan.begin(), warm_plan.end(),
+                    [anchor](media::Rung r) { return r == anchor; });
+    if (!warm_holds_anchor) {
+      bound = ExactPlanTotal(*model_, config_, predicted_mbps, warm_plan,
+                             buffer_s, anchor, has_prev);
+    }
   }
-  const bool warm_start_used = bound < kInfinity;
 
-  Branch up;
-  Branch down;
-  SearchMonotone(predicted_mbps, 0, buffer_s, anchor, has_prev,
-                 /*direction=*/+1, 0.0, stack, up, lb_suffix, bound);
-  SearchMonotone(predicted_mbps, 0, buffer_s, anchor, has_prev,
-                 /*direction=*/-1, 0.0, stack, down, lb_suffix, bound);
+  MonotoneWalk walk(*model_, config_, predicted_mbps, lb_suffix, bound);
+  walk.Visit(0, buffer_s, anchor, has_prev, 0.0, Space::kHold);
 
   PlanResult result;
-  result.sequences_evaluated = up.sequences + down.sequences;
-  result.nodes_expanded = up.expanded + down.expanded;
-  result.nodes_pruned = up.pruned + down.pruned;
-  result.warm_start_used = warm_start_used;
-  const Branch* chosen = nullptr;
-  if (up.found && (!down.found || up.objective < down.objective)) {
-    chosen = &up;
-  } else if (down.found) {
-    chosen = &down;
+  result.sequences_evaluated = walk.sequences;
+  result.nodes_expanded = walk.expanded;
+  result.nodes_pruned = walk.pruned;
+  result.warm_start_used =
+      bound < kInfinity || (warm_holds_anchor && walk.hold_leaf_reached);
+  // Down wins an exact up/down tie.
+  const Incumbent* chosen = nullptr;
+  if (walk.up.found &&
+      (!walk.down.found || walk.up.objective < walk.down.objective)) {
+    chosen = &walk.up;
+  } else if (walk.down.found) {
+    chosen = &walk.down;
   }
   if (chosen != nullptr) {
     result.feasible = true;
-    result.first_rung = chosen->first;
+    result.first_rung = chosen->plan[0];
     result.objective = chosen->objective;
     result.plan.assign(chosen->plan, chosen->plan + predicted_mbps.size());
   }
@@ -292,8 +400,7 @@ void BruteForceSolver::SearchAll(std::span<const double> predicted_mbps,
   if (depth == horizon) {
     const double total =
         accumulated + TailCost(*model_, config_.tail_intervals,
-                               predicted_mbps.back(), stack[horizon - 1],
-                               buffer_s);
+                               predicted_mbps.back(), prev, buffer_s);
     ++best.sequences_evaluated;
     if (!best.feasible || total < best.objective) {
       best.feasible = true;

@@ -14,18 +14,34 @@
 // trajectory is clamped and the boundary cost charged, which is what the
 // deployable controller uses so a plan always exists.
 //
+// MonotonicSolver walks the up and down spaces in one depth-first pass.
+// The plans that still hold the previous rung (the anchor) belong to both
+// spaces, so that shared prefix is walked once: a node that holds visits
+// its hold child, then its up children, then its down children. Each
+// direction still meets its own plans in the order of a separate up-only
+// or down-only search, which keeps the tie rule: the first-found minimum
+// per direction, and down wins an exact up/down tie. The all-hold plan is
+// one sequence, scored once and offered to both directions.
+//
 // Branch-and-bound: with `enable_pruning` (the default) both solvers cut
 // subtrees whose accumulated cost plus an admissible remaining-cost lower
-// bound (per-interval minimum distortion; the buffer and switching terms
-// are bounded by zero) cannot beat the incumbent. Pruning is
-// plan-identical: the returned feasibility, first rung, objective and full
-// plan are exactly those of the exhaustive search — only
-// `sequences_evaluated` shrinks. The Solve overload taking `warm_plan`
-// additionally seeds the incumbent bound with the cost of a known-good
-// plan (e.g. the previous decision's plan shifted by one interval) so
-// pruning engages from the first node; the warm plan is used purely as a
-// bound, never returned, which keeps warm-started results identical to
-// cold ones.
+// bound cannot beat the incumbent. The bound is the per-interval minimum
+// distortion term (the buffer and switching terms are bounded by zero).
+// Under the default log distortion v(top rung) = 0, so that bound is 0 and
+// a subtree is cut only once its accumulated cost alone reaches the
+// incumbent. MonotonicSolver also cuts runs of siblings before paying for
+// their step: moving further from the previous rung never lowers the
+// switch terms (nor, moving down, the distortion term), so once one child
+// cannot win, neither can any later sibling. Pruning is plan-identical:
+// the returned feasibility, first rung, objective and full plan are
+// exactly those of the exhaustive search; only `sequences_evaluated`
+// shrinks. The Solve overload taking `warm_plan` additionally seeds the
+// incumbent bound with the cost of a known-good plan (e.g. the previous
+// decision's plan shifted by one interval) so pruning engages from the
+// first node; the warm plan is used purely as a bound, never returned,
+// which keeps warm-started results identical to cold ones. A warm plan
+// that holds the anchor throughout is the walk's first leaf, so it is not
+// evaluated separately.
 #pragma once
 
 #include <span>
@@ -61,13 +77,16 @@ struct PlanResult {
   // Full planned rung sequence (length = horizon).
   std::vector<media::Rung> plan;
   // Number of complete bitrate sequences whose objective was evaluated
-  // (pruned subtrees are not counted).
+  // (pruned subtrees are not counted; MonotonicSolver counts the all-hold
+  // plan once, although it lies in both directions).
   long long sequences_evaluated = 0;
   // Search-work counters for observability; they never influence the
   // decision. `nodes_expanded` counts search-tree nodes entered (interior
-  // and leaf), `nodes_pruned` counts subtrees cut by the branch-and-bound
-  // bound, and `warm_start_used` reports whether a warm plan successfully
-  // seeded the incumbent for this solve.
+  // and leaf). `nodes_pruned` counts subtrees cut by the branch-and-bound
+  // bound, plus, in MonotonicSolver, runs of siblings cut before their
+  // step was evaluated (one per run). `warm_start_used` reports whether a
+  // usable warm plan (valid, monotone for MonotonicSolver, and feasible)
+  // bounded this solve.
   long long nodes_expanded = 0;
   long long nodes_pruned = 0;
   bool warm_start_used = false;
@@ -93,27 +112,6 @@ class MonotonicSolver {
                                  std::span<const media::Rung> warm_plan) const;
 
  private:
-  struct Branch {
-    double objective = 0.0;
-    media::Rung first = -1;
-    media::Rung plan[kMaxSolverHorizon];
-    bool found = false;
-    long long sequences = 0;
-    long long expanded = 0;
-    long long pruned = 0;
-  };
-
-  // Depth-first search over monotone sequences. `direction` is +1 for
-  // SearchUp (non-decreasing rungs) and -1 for SearchDown. `stack` is the
-  // solve-scoped arena slot for the current partial sequence; `lb_suffix`
-  // (null = pruning off) holds the remaining-cost lower bounds and `bound`
-  // the shared incumbent objective across directions.
-  void SearchMonotone(std::span<const double> predicted_mbps, int depth,
-                      double buffer_s, media::Rung prev, bool charge_switch,
-                      int direction, double accumulated, media::Rung* stack,
-                      Branch& best, const double* lb_suffix,
-                      double& bound) const;
-
   const CostModel* model_;
   SolverConfig config_;
 };

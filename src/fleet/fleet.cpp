@@ -610,7 +610,8 @@ std::vector<RegionConfig> MakeUniformRegions(int count, double capacity_mbps,
   regions.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     RegionConfig region;
-    region.name = "r" + std::to_string(i);
+    region.name = "r";
+    region.name += std::to_string(i);
     region.capacity_mbps = capacity_mbps;
     region.diurnal_amplitude = diurnal_amplitude;
     regions.push_back(std::move(region));

@@ -41,7 +41,9 @@ std::vector<double> QuantilePredictor::PredictHorizon(double /*now_s*/,
 void QuantilePredictor::Reset() { samples_mbps_.clear(); }
 
 std::string QuantilePredictor::Name() const {
-  return "P" + FormatDouble(percentile_, 0);
+  std::string name = "P";
+  name += FormatDouble(percentile_, 0);
+  return name;
 }
 
 }  // namespace soda::predict

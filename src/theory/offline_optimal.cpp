@@ -50,19 +50,16 @@ OfflineSolution SolveOffline(const core::CostModel& model,
 
   // First interval: from the (off-grid) initial state.
   for (media::Rung r = 0; r < n_rungs; ++r) {
-    const double bitrate = ladder.BitrateMbps(r);
-    const double raw_next =
-        model.NextBuffer(initial_buffer_s, bandwidth_mbps[0], bitrate);
+    const double raw_next = model.NextBuffer(
+        initial_buffer_s, bandwidth_mbps[0], model.RungBitrate(r));
     if (config.hard_buffer_constraints &&
         (raw_next < -1e-9 || raw_next > max_buffer + 1e-9)) {
       continue;
     }
     const double x_next = std::clamp(raw_next, 0.0, max_buffer);
-    const double prev_bitrate =
-        prev_rung >= 0 ? ladder.BitrateMbps(prev_rung) : bitrate;
-    const double cost = model.IntervalCost(bandwidth_mbps[0], bitrate,
-                                           prev_bitrate, x_next,
-                                           /*include_switch=*/prev_rung >= 0);
+    // prev_rung < 0 drops the switching terms.
+    const double cost =
+        model.RungIntervalCost(bandwidth_mbps[0], r, prev_rung, x_next);
     const std::size_t s = state_of(grid_index(x_next), r);
     if (cost < dp[s]) {
       dp[s] = cost;
@@ -80,16 +77,16 @@ OfflineSolution SolveOffline(const core::CostModel& model,
         const double base = dp[state_of(xb, pr)];
         if (!std::isfinite(base)) continue;
         for (media::Rung r = 0; r < n_rungs; ++r) {
-          const double bitrate = ladder.BitrateMbps(r);
-          const double raw_next = model.NextBuffer(x, w, bitrate);
+          const double raw_next = model.NextBuffer(x, w, model.RungBitrate(r));
           if (config.hard_buffer_constraints &&
               (raw_next < -1e-9 || raw_next > max_buffer + 1e-9)) {
             continue;
           }
           const double x_next = std::clamp(raw_next, 0.0, max_buffer);
+          // The rung-indexed cost is bit-identical to IntervalCost on the
+          // rungs' bitrates, without its three std::log calls.
           const double cost =
-              base + model.IntervalCost(w, bitrate, ladder.BitrateMbps(pr),
-                                        x_next, /*include_switch=*/true);
+              base + model.RungIntervalCost(w, r, pr, x_next);
           const std::size_t s = state_of(grid_index(x_next), r);
           if (cost < next[s]) {
             next[s] = cost;

@@ -130,10 +130,35 @@ TEST(SodaController, SequenceBudgetMatchesPaperClaim) {
   ContextFixture fx(Ladder());
   SodaController soda;
   fx.SetThroughput(10.0);
-  (void)soda.ChooseRung(fx.Make(10.0, 2));
-  // Section 5.3: "at most around 200 bitrate sequences".
-  EXPECT_GT(soda.LastSequencesEvaluated(), 20);
-  EXPECT_LE(soda.LastSequencesEvaluated(), 600);
+  const abr::Context context = fx.Make(10.0, 2);
+  (void)soda.ChooseRung(context);
+
+  // Section 5.3: "at most around 200 bitrate sequences". The sentence is
+  // about the size of the monotone search space, so count it on the same
+  // decision with a solver in the controller's configuration, pruning off.
+  const SodaConfig& config = soda.Config();
+  const double dt = context.SegmentSeconds();
+  CostModelConfig model_config;
+  model_config.weights = config.weights;
+  model_config.dt_s = dt;
+  model_config.max_buffer_s = context.max_buffer_s;
+  model_config.target_buffer_s = config.target_buffer_s.value_or(
+      config.target_fraction * context.max_buffer_s);
+  model_config.distortion = config.distortion;
+  const CostModel model(context.Ladder(), model_config);
+  SolverConfig unpruned;
+  unpruned.hard_buffer_constraints = config.hard_buffer_constraints;
+  unpruned.tail_intervals = config.tail_intervals;
+  unpruned.enable_pruning = false;
+  const std::vector<double> predictions = context.predictor->PredictHorizon(
+      context.now_s, ClampedSodaHorizon(config, dt), dt);
+  const PlanResult space = MonotonicSolver(model, unpruned)
+                               .Solve(predictions, context.buffer_s,
+                                      context.prev_rung);
+  EXPECT_GT(space.sequences_evaluated, 20);
+  EXPECT_LE(space.sequences_evaluated, 600);
+  // Pruning only ever shrinks the work below the size of the space.
+  EXPECT_LE(soda.LastSequencesEvaluated(), space.sequences_evaluated);
 }
 
 TEST(SodaController, AdaptsModelToLadderChange) {

@@ -1,10 +1,15 @@
 // Property tests for the solvers' branch-and-bound pruning and the
 // bound-only warm start: across randomized (ladder, weights, buffer,
-// predictions) instances, the pruned search must return *exactly* the
-// unpruned search's result — same feasibility, first rung, objective
-// (bitwise, not approximately: ties between up/down branches are resolved
-// by comparing objectives, so even an ulp of drift could flip a decision)
-// and same full plan — while never evaluating more sequences.
+// predictions) instances, the monotonic solver, pruned or not, cold or
+// warm, must return *exactly* what a plain enumeration of the monotone
+// space returns — same feasibility, first rung, objective (bitwise, not
+// approximately: ties between up/down branches are resolved by comparing
+// objectives, so even an ulp of drift could flip a decision) and same full
+// plan. The brute-force solver's pruned result must equal its unpruned one.
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,38 +30,49 @@ struct FuzzInstance {
   media::Rung prev_rung = -1;
 };
 
+// Tie-heavy on purpose: weights that are sometimes zero, constant-ratio
+// ladders and flat forecasts make many plans cost exactly the same, so the
+// order in which the solver meets its plans decides the result.
 FuzzInstance MakeInstance(Rng& rng) {
-  const int rungs = 2 + static_cast<int>(rng.UniformInt(6));  // 2..7
+  const int rungs = 2 + static_cast<int>(rng.UniformInt(9));  // 2..10
+  const bool constant_ratio = rng.Chance(0.3);
+  const double ratio = rng.Uniform(1.3, 2.5);
   std::vector<double> bitrates;
   double bitrate = rng.Uniform(0.3, 2.0);
   for (int r = 0; r < rungs; ++r) {
     bitrates.push_back(bitrate);
-    bitrate *= rng.Uniform(1.3, 2.5);
+    bitrate *= constant_ratio ? ratio : rng.Uniform(1.1, 2.5);
   }
 
   FuzzInstance instance{media::BitrateLadder(std::move(bitrates)),
                         CostModelConfig{}, SolverConfig{}, {}, 0.0, -1};
 
-  instance.model_config.max_buffer_s = rng.Uniform(8.0, 30.0);
-  instance.model_config.target_buffer_s =
-      rng.Uniform(0.3, 0.8) * instance.model_config.max_buffer_s;
-  instance.model_config.dt_s = rng.Uniform(1.0, 4.0);
-  instance.model_config.weights.beta = rng.Uniform(0.0, 20.0);
-  instance.model_config.weights.gamma = rng.Uniform(0.0, 120.0);
-  instance.model_config.weights.kappa = rng.Chance(0.5) ? 0.0 : 8.0;
-  instance.model_config.weights.epsilon = rng.Uniform(0.05, 0.8);
-  instance.model_config.weights.barrier = rng.Uniform(0.0, 300.0);
+  CostModelConfig& model = instance.model_config;
+  model.distortion = rng.Chance(0.5) ? media::DistortionModel::kLog
+                                     : media::DistortionModel::kInverse;
+  model.max_buffer_s = rng.Uniform(8.0, 30.0);
+  model.target_buffer_s = rng.Uniform(0.3, 0.8) * model.max_buffer_s;
+  model.dt_s = rng.Chance(0.5) ? 2.0 : rng.Uniform(1.0, 4.0);
+  model.weights.alpha = rng.Chance(0.2) ? 0.0 : rng.Uniform(0.5, 2.0);
+  model.weights.beta = rng.Chance(0.2) ? 0.0 : rng.Uniform(0.0, 20.0);
+  model.weights.gamma = rng.Chance(0.2) ? 0.0 : rng.Uniform(0.0, 120.0);
+  model.weights.kappa = rng.Chance(0.3) ? 0.0 : 8.0;
+  model.weights.epsilon = rng.Uniform(0.05, 0.8);
+  model.weights.barrier = rng.Uniform(0.0, 300.0);
 
   instance.solver_config.hard_buffer_constraints = rng.Chance(0.3);
+  const double tail_draw = rng.Uniform(0.0, 1.0);
   instance.solver_config.tail_intervals =
-      rng.Chance(0.5) ? 0.0 : rng.Uniform(1.0, 10.0);
+      tail_draw < 0.4 ? 0.0 : (tail_draw < 0.7 ? 8.0 : rng.Uniform(1.0, 10.0));
 
-  const int horizon = 1 + static_cast<int>(rng.UniformInt(6));  // 1..6
+  const int horizon = 1 + static_cast<int>(rng.UniformInt(7));  // 1..7
+  const bool flat = rng.Chance(0.3);
+  const double flat_mbps = std::exp(rng.Uniform(-1.6, 4.5));
   for (int k = 0; k < horizon; ++k) {
     // Log-uniform throughput in roughly [0.2, 90] Mb/s, occasionally with a
     // cliff to stress feasibility edges under hard constraints.
-    double mbps = std::exp(rng.Uniform(-1.6, 4.5));
-    if (rng.Chance(0.1)) mbps *= 0.05;
+    double mbps = flat ? flat_mbps : std::exp(rng.Uniform(-1.6, 4.5));
+    if (!flat && rng.Chance(0.1)) mbps *= 0.05;
     instance.predictions.push_back(mbps);
   }
   instance.buffer_s = rng.Uniform(0.0, instance.model_config.max_buffer_s);
@@ -66,7 +82,166 @@ FuzzInstance MakeInstance(Rng& rng) {
   return instance;
 }
 
-// Exact-identity check between a pruned/warm result and the reference.
+// The objective MonotonicSolver assigns to `plan`, computed step by step
+// with the cost model's public per-rung arithmetic (left-to-right sum, then
+// the terminal tail), or infinity when a step leaves [0, x_max] under hard
+// constraints.
+double OracleTotal(const CostModel& model, const SolverConfig& config,
+                   std::span<const double> predictions,
+                   std::span<const media::Rung> plan, double buffer_s,
+                   media::Rung anchor, bool has_prev) {
+  constexpr double kTolerance = 1e-9;
+  const double max_buffer = model.Config().max_buffer_s;
+  double accumulated = 0.0;
+  double buffer = buffer_s;
+  media::Rung prev = anchor;
+  bool charge_switch = has_prev;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const double raw = model.NextBuffer(buffer, predictions[i],
+                                        model.RungBitrate(plan[i]));
+    if (config.hard_buffer_constraints &&
+        !(raw >= -kTolerance && raw <= max_buffer + kTolerance)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    buffer = std::clamp(raw, 0.0, max_buffer);
+    accumulated =
+        accumulated + model.RungIntervalCost(predictions[i], plan[i],
+                                             charge_switch ? prev : -1, buffer);
+    prev = plan[i];
+    charge_switch = true;
+  }
+  double tail = 0.0;
+  if (config.tail_intervals > 0.0) {
+    const double w = predictions.back();
+    const double drift =
+        model.NextBuffer(buffer, w, model.RungBitrate(prev)) - buffer;
+    const double mid = std::clamp(
+        buffer + 0.5 * config.tail_intervals * drift, 0.0, max_buffer);
+    tail = config.tail_intervals *
+           (model.RungDistortionTermCost(w, prev) +
+            model.Config().weights.beta * model.BufferCost(mid));
+  }
+  return accumulated + tail;
+}
+
+struct OracleBranch {
+  bool found = false;
+  double objective = 0.0;
+  std::vector<media::Rung> plan;
+  long long feasible_plans = 0;
+};
+
+struct Oracle {
+  const CostModel& model;
+  const SolverConfig& config;
+  std::span<const double> predictions;
+  double buffer_s;
+  media::Rung anchor;
+  bool has_prev;
+
+  // Every plan of one direction in depth-first order (hold first, then
+  // moving away from the anchor); keeps the first-found minimum.
+  void Enumerate(int direction, std::vector<media::Rung>& plan,
+                 OracleBranch& best) const {
+    if (plan.size() == predictions.size()) {
+      const double total = OracleTotal(model, config, predictions, plan,
+                                       buffer_s, anchor, has_prev);
+      if (std::isinf(total)) return;
+      ++best.feasible_plans;
+      if (!best.found || total < best.objective) {
+        best.found = true;
+        best.objective = total;
+        best.plan = plan;
+      }
+      return;
+    }
+    const media::Rung from = plan.empty() ? anchor : plan.back();
+    for (media::Rung r = from; r >= 0 && r < model.RungCount();
+         r += direction) {
+      plan.push_back(r);
+      Enumerate(direction, plan, best);
+      plan.pop_back();
+    }
+  }
+};
+
+struct OracleResult {
+  PlanResult plan;  // feasible, first_rung, objective and plan only
+  // Distinct feasible monotone plans (the all-hold plan lies in both
+  // directions and counts once).
+  long long distinct_plans = 0;
+  // Whether the best up plan and the best down plan differ but cost
+  // exactly the same, so that the tie rule decides the result.
+  bool up_down_tie = false;
+};
+
+// Test-only reference for MonotonicSolver: a plain enumeration of the up
+// space and then the down space, with the solver's tie rule (first-found
+// minimum per direction; down wins an exact up/down tie). It shares no
+// search code with the solver.
+OracleResult SolveByEnumeration(const CostModel& model,
+                                const SolverConfig& config,
+                                std::span<const double> predictions,
+                                double buffer_s, media::Rung prev_rung) {
+  const bool has_prev = prev_rung >= 0;
+  const media::Rung anchor =
+      has_prev ? prev_rung
+               : model.Ladder().HighestRungAtMost(predictions.front());
+  const Oracle oracle{model, config, predictions, buffer_s, anchor, has_prev};
+  OracleBranch up;
+  OracleBranch down;
+  std::vector<media::Rung> scratch;
+  oracle.Enumerate(+1, scratch, up);
+  oracle.Enumerate(-1, scratch, down);
+
+  OracleResult result;
+  const std::vector<media::Rung> hold(predictions.size(), anchor);
+  const bool hold_feasible = !std::isinf(
+      OracleTotal(model, config, predictions, hold, buffer_s, anchor, has_prev));
+  result.distinct_plans =
+      up.feasible_plans + down.feasible_plans - (hold_feasible ? 1 : 0);
+  result.up_down_tie = up.found && down.found &&
+                       up.objective == down.objective && up.plan != down.plan;
+  const OracleBranch* chosen = nullptr;
+  if (up.found && (!down.found || up.objective < down.objective)) {
+    chosen = &up;
+  } else if (down.found) {
+    chosen = &down;
+  }
+  if (chosen != nullptr) {
+    result.plan.feasible = true;
+    result.plan.first_rung = chosen->plan.front();
+    result.plan.objective = chosen->objective;
+    result.plan.plan = chosen->plan;
+  }
+  return result;
+}
+
+// Whether a warm plan can seed the bound: valid rungs, monotone from the
+// anchor, and feasible.
+bool WarmPlanUsable(const CostModel& model, const SolverConfig& config,
+                    std::span<const double> predictions,
+                    std::span<const media::Rung> plan, double buffer_s,
+                    media::Rung prev_rung) {
+  const bool has_prev = prev_rung >= 0;
+  const media::Rung anchor =
+      has_prev ? prev_rung
+               : model.Ladder().HighestRungAtMost(predictions.front());
+  bool non_decreasing = true;
+  bool non_increasing = true;
+  media::Rung prev = anchor;
+  for (const media::Rung r : plan) {
+    if (r < 0 || r >= model.RungCount()) return false;
+    non_decreasing = non_decreasing && r >= prev;
+    non_increasing = non_increasing && r <= prev;
+    prev = r;
+  }
+  return (non_decreasing || non_increasing) &&
+         !std::isinf(OracleTotal(model, config, predictions, plan, buffer_s,
+                                 anchor, has_prev));
+}
+
+// Exact-identity check between a solver result and the reference.
 void ExpectIdentical(const PlanResult& result, const PlanResult& reference,
                      const char* label) {
   ASSERT_EQ(result.feasible, reference.feasible) << label;
@@ -80,7 +255,7 @@ class SolverPruneFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolverPruneFuzzTest, PrunedAndWarmResultsIdenticalToUnpruned) {
   Rng rng(0x50DA0000u + static_cast<std::uint64_t>(GetParam()));
-  for (int iteration = 0; iteration < 40; ++iteration) {
+  for (int iteration = 0; iteration < 150; ++iteration) {
     const FuzzInstance instance = MakeInstance(rng);
     const CostModel model(instance.ladder, instance.model_config);
 
@@ -89,63 +264,81 @@ TEST_P(SolverPruneFuzzTest, PrunedAndWarmResultsIdenticalToUnpruned) {
     SolverConfig on = instance.solver_config;
     on.enable_pruning = true;
 
-    // Monotonic solver: pruned == unpruned, never more sequences.
+    const OracleResult oracle =
+        SolveByEnumeration(model, instance.solver_config, instance.predictions,
+                           instance.buffer_s, instance.prev_rung);
+    const PlanResult& reference = oracle.plan;
+
+    // Monotonic solver, unpruned and pruned: identical to the enumeration.
+    // Unpruned, it scores every feasible monotone plan exactly once.
     const MonotonicSolver mono_off(model, off);
     const MonotonicSolver mono_on(model, on);
-    const PlanResult mono_reference = mono_off.Solve(
+    const PlanResult mono_unpruned = mono_off.Solve(
         instance.predictions, instance.buffer_s, instance.prev_rung);
+    ExpectIdentical(mono_unpruned, reference, "monotonic unpruned");
+    EXPECT_EQ(mono_unpruned.sequences_evaluated, oracle.distinct_plans);
     const PlanResult mono_pruned = mono_on.Solve(
         instance.predictions, instance.buffer_s, instance.prev_rung);
-    ExpectIdentical(mono_pruned, mono_reference, "monotonic pruned");
+    ExpectIdentical(mono_pruned, reference, "monotonic pruned");
     EXPECT_LE(mono_pruned.sequences_evaluated,
-              mono_reference.sequences_evaluated);
-
-    // Brute force: pruned == unpruned, never more sequences.
-    const BruteForceSolver brute_off(model, off);
-    const BruteForceSolver brute_on(model, on);
-    const PlanResult brute_reference = brute_off.Solve(
-        instance.predictions, instance.buffer_s, instance.prev_rung);
-    const PlanResult brute_pruned = brute_on.Solve(
-        instance.predictions, instance.buffer_s, instance.prev_rung);
-    ExpectIdentical(brute_pruned, brute_reference, "brute pruned");
-    EXPECT_LE(brute_pruned.sequences_evaluated,
-              brute_reference.sequences_evaluated);
-
-    // The monotone optimum can never beat the global optimum.
-    if (mono_reference.feasible && brute_reference.feasible) {
-      EXPECT_GE(mono_reference.objective, brute_reference.objective - 1e-9);
-    }
+              mono_unpruned.sequences_evaluated);
+    EXPECT_FALSE(mono_pruned.warm_start_used);
 
     // Warm starts are bound-only: seeding with the solver's own plan, a
-    // shifted variant, or garbage must leave the result identical to cold.
-    if (mono_reference.feasible) {
-      const PlanResult warm_own =
-          mono_on.Solve(instance.predictions, instance.buffer_s,
-                        instance.prev_rung, mono_reference.plan);
-      ExpectIdentical(warm_own, mono_reference, "monotonic warm(own plan)");
-      EXPECT_LE(warm_own.sequences_evaluated,
-                mono_reference.sequences_evaluated);
-
-      std::vector<media::Rung> shifted(mono_reference.plan.begin() + 1,
-                                       mono_reference.plan.end());
-      shifted.push_back(mono_reference.plan.back());
-      const PlanResult warm_shifted =
-          mono_on.Solve(instance.predictions, instance.buffer_s,
-                        instance.prev_rung, shifted);
-      ExpectIdentical(warm_shifted, mono_reference,
-                      "monotonic warm(shifted plan)");
+    // shifted variant, the plan that holds the anchor throughout, or
+    // garbage must leave the result identical, and warm_start_used must
+    // report exactly whether the plan was usable.
+    const media::Rung anchor =
+        instance.prev_rung >= 0
+            ? instance.prev_rung
+            : instance.ladder.HighestRungAtMost(instance.predictions.front());
+    std::vector<std::vector<media::Rung>> warm_plans;
+    if (reference.feasible) {
+      warm_plans.push_back(reference.plan);
+      std::vector<media::Rung> shifted(reference.plan.begin() + 1,
+                                       reference.plan.end());
+      shifted.push_back(reference.plan.back());
+      warm_plans.push_back(shifted);
     }
-    {
-      std::vector<media::Rung> random_plan;
-      for (std::size_t k = 0; k < instance.predictions.size(); ++k) {
-        random_plan.push_back(static_cast<media::Rung>(
-            rng.UniformInt(static_cast<std::uint64_t>(instance.ladder.Size()))));
-      }
-      const PlanResult mono_warm_random =
-          mono_on.Solve(instance.predictions, instance.buffer_s,
-                        instance.prev_rung, random_plan);
-      ExpectIdentical(mono_warm_random, mono_reference,
-                      "monotonic warm(random plan)");
+    warm_plans.emplace_back(instance.predictions.size(), anchor);
+    std::vector<media::Rung> random_plan;
+    for (std::size_t k = 0; k < instance.predictions.size(); ++k) {
+      random_plan.push_back(static_cast<media::Rung>(
+          rng.UniformInt(static_cast<std::uint64_t>(instance.ladder.Size()))));
+    }
+    warm_plans.push_back(random_plan);
+    for (const std::vector<media::Rung>& warm : warm_plans) {
+      const PlanResult warm_pruned = mono_on.Solve(
+          instance.predictions, instance.buffer_s, instance.prev_rung, warm);
+      ExpectIdentical(warm_pruned, reference, "monotonic warm");
+      EXPECT_LE(warm_pruned.sequences_evaluated,
+                mono_unpruned.sequences_evaluated);
+      EXPECT_EQ(warm_pruned.warm_start_used,
+                WarmPlanUsable(model, instance.solver_config,
+                               instance.predictions, warm, instance.buffer_s,
+                               instance.prev_rung))
+          << "warm_start_used";
+      const PlanResult warm_unpruned = mono_off.Solve(
+          instance.predictions, instance.buffer_s, instance.prev_rung, warm);
+      ExpectIdentical(warm_unpruned, reference, "monotonic warm unpruned");
+      EXPECT_FALSE(warm_unpruned.warm_start_used);
+    }
+
+    // Brute force: pruned == unpruned, never more sequences. Kept to the
+    // instance sizes whose exhaustive search stays cheap.
+    const double combos =
+        std::pow(static_cast<double>(instance.ladder.Size()),
+                 static_cast<double>(instance.predictions.size()));
+    if (combos <= 120000.0) {
+      const BruteForceSolver brute_off(model, off);
+      const BruteForceSolver brute_on(model, on);
+      const PlanResult brute_reference = brute_off.Solve(
+          instance.predictions, instance.buffer_s, instance.prev_rung);
+      const PlanResult brute_pruned = brute_on.Solve(
+          instance.predictions, instance.buffer_s, instance.prev_rung);
+      ExpectIdentical(brute_pruned, brute_reference, "brute pruned");
+      EXPECT_LE(brute_pruned.sequences_evaluated,
+                brute_reference.sequences_evaluated);
       const PlanResult brute_warm_random =
           brute_on.Solve(instance.predictions, instance.buffer_s,
                          instance.prev_rung, random_plan);
@@ -153,6 +346,11 @@ TEST_P(SolverPruneFuzzTest, PrunedAndWarmResultsIdenticalToUnpruned) {
                       "brute warm(random plan)");
       EXPECT_LE(brute_warm_random.sequences_evaluated,
                 brute_reference.sequences_evaluated);
+
+      // The monotone optimum can never beat the global optimum.
+      if (reference.feasible && brute_reference.feasible) {
+        EXPECT_GE(reference.objective, brute_reference.objective - 1e-9);
+      }
     }
 
     if (::testing::Test::HasFailure()) {
@@ -168,6 +366,86 @@ TEST_P(SolverPruneFuzzTest, PrunedAndWarmResultsIdenticalToUnpruned) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverPruneFuzzTest, ::testing::Range(0, 12));
+
+// Instances on exactly representable values (power-of-two ladders, dyadic
+// weights, forecasts and buffers) on which the best up plan and the best
+// down plan cost exactly the same. Random real-valued instances almost
+// never tie across directions, so the fuzz above cannot pin the rule that
+// down wins such a tie; these do.
+struct TieCase {
+  std::vector<double> bitrates;
+  media::DistortionModel distortion;
+  double dt_s, max_buffer_s, target_buffer_s;
+  double alpha, beta, gamma, kappa, epsilon, safe_fraction;
+  double tail_intervals;
+  std::vector<double> predictions;
+  double buffer_s;
+  media::Rung prev_rung;
+  std::vector<media::Rung> down_plan;  // the expected result
+};
+
+TEST(SolverTieRule, DownWinsAnExactUpDownTie) {
+  using media::DistortionModel;
+  const std::vector<TieCase> cases = {
+      {{1, 2, 4, 16}, DistortionModel::kLog, 2, 16, 2, 0.25, 1, 1, 4, 0.25,
+       0.5, 0, {2}, 0, -1, {0}},
+      {{1, 2, 4, 16}, DistortionModel::kLog, 1, 8, 4, 1, 4, 0.5, 0.25, 0.25,
+       0.5, 0, {2}, 0, 1, {0}},
+      {{1, 2, 4, 16}, DistortionModel::kLog, 2, 8, 4, 0.25, 1, 4, 2, 0.25,
+       0.5, 8, {4}, 0, -1, {1}},
+      // The two plans share a held first interval.
+      {{1, 2, 4, 16}, DistortionModel::kLog, 1, 8, 4, 0, 1, 0.5, 0.25, 1, 0,
+       0, {1, 4, 32}, 0, 1, {1, 0, 0}},
+      {{1, 4, 16, 64}, DistortionModel::kInverse, 1, 16, 4, 1, 0.5, 8, 0, 1,
+       0, 1, {4, 4, 4, 4}, 3, 2, {1, 1, 1, 1}},
+      {{1, 2, 4}, DistortionModel::kInverse, 2, 8, 4, 0, 4, 4, 0.25, 0.25, 0,
+       0, {0.5, 2, 8, 2}, 3, 1, {0, 0, 0, 0}},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const TieCase& c = cases[i];
+    SCOPED_TRACE(::testing::Message() << "tie case " << i);
+    const media::BitrateLadder ladder(c.bitrates);
+    CostModelConfig model_config;
+    model_config.distortion = c.distortion;
+    model_config.dt_s = c.dt_s;
+    model_config.max_buffer_s = c.max_buffer_s;
+    model_config.target_buffer_s = c.target_buffer_s;
+    model_config.weights = {.alpha = c.alpha,
+                            .beta = c.beta,
+                            .gamma = c.gamma,
+                            .kappa = c.kappa,
+                            .epsilon = c.epsilon,
+                            .barrier = 0.0,
+                            .safe_fraction = c.safe_fraction};
+    const CostModel model(ladder, model_config);
+    SolverConfig config;
+    config.tail_intervals = c.tail_intervals;
+
+    const OracleResult oracle = SolveByEnumeration(
+        model, config, c.predictions, c.buffer_s, c.prev_rung);
+    ASSERT_TRUE(oracle.up_down_tie);
+    ASSERT_EQ(oracle.plan.plan, c.down_plan);
+
+    SolverConfig off = config;
+    off.enable_pruning = false;
+    ExpectIdentical(MonotonicSolver(model, off)
+                        .Solve(c.predictions, c.buffer_s, c.prev_rung),
+                    oracle.plan, "tie unpruned");
+    const MonotonicSolver pruned(model, config);
+    ExpectIdentical(pruned.Solve(c.predictions, c.buffer_s, c.prev_rung),
+                    oracle.plan, "tie pruned");
+    const std::vector<media::Rung> hold(c.predictions.size(),
+                                        c.prev_rung >= 0
+                                            ? c.prev_rung
+                                            : ladder.HighestRungAtMost(
+                                                  c.predictions.front()));
+    for (const std::vector<media::Rung>& warm : {c.down_plan, hold}) {
+      ExpectIdentical(
+          pruned.Solve(c.predictions, c.buffer_s, c.prev_rung, warm),
+          oracle.plan, "tie warm");
+    }
+  }
+}
 
 // Pruning must actually help on the paper's standard configuration, not
 // just break even (the >= 30% reduction claimed in BENCH_solver.json is

@@ -26,15 +26,17 @@ std::vector<double> Constant(double mbps, int k) {
   return std::vector<double>(static_cast<std::size_t>(k), mbps);
 }
 
+// Whether [anchor (only when has_prev), plan...] is non-decreasing or
+// non-increasing.
 bool IsMonotone(const std::vector<media::Rung>& plan, media::Rung anchor,
                 bool has_prev) {
-  std::vector<media::Rung> extended;
-  if (has_prev) extended.push_back(anchor);
-  extended.insert(extended.end(), plan.begin(), plan.end());
-  const bool non_decreasing =
-      std::is_sorted(extended.begin(), extended.end());
-  const bool non_increasing =
-      std::is_sorted(extended.begin(), extended.end(), std::greater<>());
+  bool non_decreasing = true;
+  bool non_increasing = true;
+  for (std::size_t i = has_prev ? 0 : 1; i < plan.size(); ++i) {
+    const media::Rung before = i == 0 ? anchor : plan[i - 1];
+    non_decreasing = non_decreasing && plan[i] >= before;
+    non_increasing = non_increasing && plan[i] <= before;
+  }
   return non_decreasing || non_increasing;
 }
 

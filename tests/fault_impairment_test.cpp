@@ -11,6 +11,7 @@
 
 #include "fault/profile.hpp"
 #include "net/generators.hpp"
+#include "test_helpers.hpp"
 
 namespace soda::fault {
 namespace {
@@ -239,8 +240,7 @@ TEST(Profile, BuiltinsHaveFixedOrderAndValidate) {
 
 TEST(Profile, LoadProfileResolvesNamesAndFiles) {
   EXPECT_EQ(LoadProfile("periodic-outage").name, "periodic-outage");
-  const auto path =
-      std::filesystem::temp_directory_path() / "soda_fault_profile_test.cfg";
+  const auto path = soda::testing::UniqueTempPath("profile.cfg");
   std::ofstream(path) << "profile name=from-file\n"
                       << "scale factor=0.5 from=0 to=inf\n";
   const FaultProfile loaded = LoadProfile(path.string());

@@ -7,6 +7,7 @@
 #include "net/trace_io.hpp"
 #include "net/trace_stats.hpp"
 #include "obs/metrics.hpp"
+#include "test_helpers.hpp"
 
 namespace soda::net {
 namespace {
@@ -16,7 +17,7 @@ namespace fs = std::filesystem;
 class TraceIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "soda_trace_io_test";
+    dir_ = soda::testing::UniqueTempPath("trace_io");
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -7,6 +7,7 @@
 
 #include "net/generators.hpp"
 #include "net/trace_io.hpp"
+#include "test_helpers.hpp"
 
 namespace soda::net {
 namespace {
@@ -68,8 +69,7 @@ TEST(Mahimahi, RoundTripPreservesMeanRate) {
 }
 
 TEST(Mahimahi, FileRoundTrip) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "soda_mahimahi_test.mahi";
+  const auto path = soda::testing::UniqueTempPath("trace.mahi");
   const ThroughputTrace original = ConstantTrace(5.0, 30.0);
   SaveMahimahiFile(original, path);
   const ThroughputTrace loaded = LoadMahimahiFile(path);
@@ -97,9 +97,8 @@ TEST(Mahimahi, RoundTripConservesBytes) {
 TEST(Mahimahi, CsvAndMahimahiAgreeOnTheSameTrace) {
   // The two persistence formats must describe the same network: save a
   // trace both ways, load both back, compare per-window averages.
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto csv_path = dir / "soda_roundtrip_agree.csv";
-  const auto mahi_path = dir / "soda_roundtrip_agree.mahi";
+  const auto csv_path = soda::testing::UniqueTempPath("trace.csv");
+  const auto mahi_path = soda::testing::UniqueTempPath("trace.mahi");
   const ThroughputTrace original = StepTrace({2.0, 6.0, 4.0}, 10.0);
   SaveTraceCsv(original, csv_path);
   SaveMahimahiFile(original, mahi_path);

@@ -1,4 +1,5 @@
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -37,17 +38,30 @@ PredictorPtr MakeRobust() {
   return std::make_unique<RobustDiscountPredictor>(MakeEma(), 5);
 }
 
-class PredictorContractTest : public ::testing::TestWithParam<Factory> {};
+// gtest prints `id` for the case, and ctest names each case by what gtest
+// prints. A bare factory pointer would print as an address that moves with
+// every build; fixed IDs keep the ctest names comparable from build to
+// build. The strings are the addresses the cases were listed under before,
+// so earlier test lists still name them.
+struct PredictorCase {
+  const char* id;
+  Factory make;
+};
+
+void PrintTo(const PredictorCase& c, std::ostream* os) { *os << c.id; }
+
+class PredictorContractTest : public ::testing::TestWithParam<PredictorCase> {
+};
 
 TEST_P(PredictorContractTest, ColdStartIsPositive) {
-  const PredictorPtr p = GetParam()();
+  const PredictorPtr p = GetParam().make();
   const auto forecast = p->PredictHorizon(0.0, 3, 2.0);
   ASSERT_EQ(forecast.size(), 3u);
   for (const double v : forecast) EXPECT_GT(v, 0.0);
 }
 
 TEST_P(PredictorContractTest, ConvergesToConstantInput) {
-  const PredictorPtr p = GetParam()();
+  const PredictorPtr p = GetParam().make();
   for (int i = 0; i < 50; ++i) {
     p->Observe(Obs(i * 2.0, 2.0, 8.0));
   }
@@ -55,7 +69,7 @@ TEST_P(PredictorContractTest, ConvergesToConstantInput) {
 }
 
 TEST_P(PredictorContractTest, ResetClearsHistory) {
-  const PredictorPtr p = GetParam()();
+  const PredictorPtr p = GetParam().make();
   for (int i = 0; i < 20; ++i) p->Observe(Obs(i * 2.0, 2.0, 50.0));
   p->Reset();
   // After reset the forecast returns to the cold-start default.
@@ -63,14 +77,14 @@ TEST_P(PredictorContractTest, ResetClearsHistory) {
 }
 
 TEST_P(PredictorContractTest, IgnoresZeroThroughputSamples) {
-  const PredictorPtr p = GetParam()();
+  const PredictorPtr p = GetParam().make();
   p->Observe(Obs(0.0, 2.0, 4.0));
   p->Observe(DownloadObservation{2.0, 0.0, 0.0});
   EXPECT_GT(p->PredictOne(4.0, 2.0), 0.0);
 }
 
 TEST_P(PredictorContractTest, HorizonIsFlatForHistoryPredictors) {
-  const PredictorPtr p = GetParam()();
+  const PredictorPtr p = GetParam().make();
   for (int i = 0; i < 10; ++i) p->Observe(Obs(i * 2.0, 2.0, 6.0));
   const auto forecast = p->PredictHorizon(20.0, 5, 2.0);
   for (std::size_t k = 1; k < forecast.size(); ++k) {
@@ -79,8 +93,12 @@ TEST_P(PredictorContractTest, HorizonIsFlatForHistoryPredictors) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPredictors, PredictorContractTest,
-                         ::testing::Values(&MakeMa, &MakeEma, &MakeHm,
-                                           &MakeSw, &MakeRobust));
+                         ::testing::Values(
+                             PredictorCase{"0x55fe3e4a3f00", &MakeMa},
+                             PredictorCase{"0x55fe3e4a4de0", &MakeEma},
+                             PredictorCase{"0x55fe3e4a3ec0", &MakeHm},
+                             PredictorCase{"0x55fe3e4a3e80", &MakeSw},
+                             PredictorCase{"0x55fe3e4a5b30", &MakeRobust}));
 
 // --- Predictor-specific behavior. ---
 

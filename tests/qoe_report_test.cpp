@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_helpers.hpp"
 #include "util/csv.hpp"
 
 namespace soda::qoe {
@@ -39,8 +40,7 @@ TEST(Report, PerSessionCsvShape) {
 }
 
 TEST(Report, WriteCsvFile) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "soda_report_test.csv";
+  const auto path = soda::testing::UniqueTempPath("report.csv");
   WritePerSessionCsv({MakeResult("SODA", 0.8, 0.9)}, path);
   const CsvTable table = LoadCsvFile(path, true);
   EXPECT_EQ(table.rows.size(), 2u);

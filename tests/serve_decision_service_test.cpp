@@ -308,6 +308,15 @@ TEST(DecisionService, UnknownTenantThrows) {
   EXPECT_THROW((void)service.DecideOne(request), std::invalid_argument);
 }
 
+// "w<writer>-<session>": the session ids the concurrent writers ingest.
+std::string WriterSessionId(std::uint64_t writer, std::uint64_t session) {
+  std::string id = "w";
+  id += std::to_string(writer);
+  id += '-';
+  id += std::to_string(session);
+  return id;
+}
+
 // Concurrent ingest and decide across many sessions: exercises the shard
 // locking under asan/tsan. Decisions stay within the ladder throughout.
 TEST(DecisionService, ConcurrentIngestAndDecide) {
@@ -325,9 +334,8 @@ TEST(DecisionService, ConcurrentIngestAndDecide) {
         SessionEvent down;
         down.type = EventType::kSegmentDownloaded;
         down.tenant = tenant;
-        const std::string id =
-            "w" + std::to_string(wr) + "-" +
-            std::to_string(rng.UniformInt(kSessionsPerWriter));
+        const std::string id = WriterSessionId(
+            static_cast<std::uint64_t>(wr), rng.UniformInt(kSessionsPerWriter));
         down.session_id = id;
         down.rung = static_cast<media::Rung>(rng.UniformInt(6));
         down.duration_s = 0.5 + rng.NextDouble();
@@ -342,8 +350,8 @@ TEST(DecisionService, ConcurrentIngestAndDecide) {
       std::vector<DecisionRequest> requests(32);
       std::vector<std::string> ids(32);
       for (std::size_t i = 0; i < requests.size(); ++i) {
-        ids[i] = "w" + std::to_string(rng.UniformInt(kWriters)) + "-" +
-                 std::to_string(rng.UniformInt(kSessionsPerWriter));
+        const std::uint64_t writer = rng.UniformInt(kWriters);
+        ids[i] = WriterSessionId(writer, rng.UniformInt(kSessionsPerWriter));
         requests[i].tenant = tenant;
         requests[i].session_id = ids[i];
         requests[i].buffer_s = rng.NextDouble() * kMaxBufferS;

@@ -63,6 +63,8 @@ SharedLinkConfig ScalingConfig(std::size_t n) {
   return config;
 }
 
+#ifdef SODA_PERF_ASSERT
+// Only the timing assertion, compiled under SODA_PERF_ASSERT, uses this.
 double TimeEngine(std::size_t n, SharedLinkEngine engine,
                   SharedLinkResult* out) {
   SharedLinkConfig config = ScalingConfig(n);
@@ -74,6 +76,7 @@ double TimeEngine(std::size_t n, SharedLinkEngine engine,
   const auto end = Clock::now();
   return std::chrono::duration<double, std::nano>(end - start).count();
 }
+#endif
 
 const std::vector<std::size_t>& SweepCounts() {
   static const std::vector<std::size_t> counts = {4, 16, 48, 100, 400};

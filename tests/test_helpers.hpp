@@ -1,13 +1,42 @@
-// Shared fixtures for controller and simulator tests.
+// Shared fixtures for controller, simulator and file I/O tests.
 #pragma once
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <string_view>
+
+#include <gtest/gtest.h>
 
 #include "abr/controller.hpp"
 #include "media/video_model.hpp"
 #include "predict/fixed.hpp"
 
 namespace soda::testing {
+
+// A path in the system temp directory that no other test shares: it names
+// the running test and process, and ends in `suffix` (e.g. "trace.csv").
+// ctest runs every case as its own process, in parallel under -j, so a
+// fixed name lets one case overwrite or delete another's files.
+inline std::filesystem::path UniqueTempPath(std::string_view suffix) {
+  std::string name = "soda_";
+  if (const ::testing::TestInfo* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    name += info->test_suite_name();
+    name += '.';
+    name += info->name();
+    name += '_';
+  }
+  name += std::to_string(::getpid());
+  name += '_';
+  name += suffix;
+  // Parameterized test names contain '/'; keep the path one component.
+  std::replace(name.begin(), name.end(), '/', '_');
+  return std::filesystem::temp_directory_path() / name;
+}
 
 // Bundles a video model and fixed predictor and hands out contexts.
 class ContextFixture {

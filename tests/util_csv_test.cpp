@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_helpers.hpp"
+
 namespace soda {
 namespace {
 
@@ -68,7 +70,7 @@ TEST(CsvWriter, RoundTrip) {
 }
 
 TEST(CsvFile, WriteAndLoad) {
-  const auto path = std::filesystem::temp_directory_path() / "soda_csv_test.csv";
+  const auto path = soda::testing::UniqueTempPath("table.csv");
   CsvWriter writer;
   writer.AddRow({"h1", "h2"});
   writer.AddRow({"1.5", "hello"});

@@ -205,7 +205,9 @@ void FuzzBatchOpsOneSeed(std::uint64_t seed) {
       in_heap[popped] = false;
     }
     ASSERT_EQ(heap.Size(), member_count());
-    if (!heap.Empty()) EXPECT_EQ(keys[heap.Top()], min_key());
+    if (!heap.Empty()) {
+      EXPECT_EQ(keys[heap.Top()], min_key());
+    }
   }
 
   // Final drain must come out in sorted key order and cover every member.
