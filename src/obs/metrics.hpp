@@ -6,9 +6,14 @@
 // only on first use per thread and at snapshot time), and Snapshot() merges
 // the shards by summation — exact integer arithmetic, so the merged view is
 // bit-identical for any thread count and any interleaving, the same
-// determinism contract util::ParallelFor gives evaluation results. Gauges
-// are last-write-wins process-wide values for run-level facts (corpus size,
-// configuration); they are not meant to be set concurrently.
+// determinism contract util::ParallelFor gives evaluation results. Shards
+// are owned by the registry and live as long as it does, one per thread
+// that ever recorded into it. util::ParallelFor runs on persistent pool
+// threads, so that is at most the pool size plus the calling threads; a
+// program that recorded from many short-lived threads would add a shard
+// for each of them. Gauges are last-write-wins process-wide values for
+// run-level facts (corpus size, configuration); they are not meant to be
+// set concurrently.
 //
 // Handles (Counter / Gauge / Histogram) are cheap value types resolved once
 // at registration; recording through a handle never looks the metric up
